@@ -1,8 +1,8 @@
-//! Golden exports: the congestion run's queue physics, pinned byte for
-//! byte in both downstream formats.
+//! Golden exports: every runtime JSON and Prometheus rendering, pinned
+//! byte for byte.
 //!
 //! The emergent congestion run (static scarce capacity, zero
-//! perturbations) is fully deterministic, so its exports are too. Two
+//! perturbations) is fully deterministic, so its exports are too. Its
 //! artifacts are compared against checked-in goldens:
 //!
 //! * the **Chrome-trace** rendering of the run's queue slice — every
@@ -11,7 +11,14 @@
 //!   into Perfetto to look at the congestion story;
 //! * the **Prometheus text exposition** of the run's metrics — the
 //!   `ph_net_queue_depth` / `ph_net_queue_dropped_total` /
-//!   `ph_net_queue_wait_ns` families `phtool run --prom` writes.
+//!   `ph_net_queue_wait_ns` families `phtool run --prom` writes;
+//! * the run's full report JSON (metrics, divergence, blame), the queue
+//!   slice as `Trace::to_json` and JSON Lines, and the run's blame chain.
+//!
+//! Beside the run, the hunt telemetry exposition of two congestion cells
+//! and the static exports (model-check reports, independence matrices and
+//! the static cross-check table over every scenario's IR) are pinned; the
+//! static ones depend only on the declared summaries, not on source files.
 //!
 //! Regenerate after an intentional exporter or scenario change with
 //! `PH_EXPORT_BLESS=1 cargo test -p ph-scenarios --test export_golden`.
@@ -19,8 +26,9 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ph_scenarios::{congestion, Variant};
-use ph_sim::{trace_to_chrome, DropReason, TraceEventKind};
+use ph_core::{explain, Explorer, HuntReport, StrategyStats};
+use ph_scenarios::{congestion, scenario_statics, Variant};
+use ph_sim::{trace_to_chrome, trace_to_jsonl, DropReason, TraceEventKind};
 
 fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -75,6 +83,17 @@ fn congestion_queue_exports_are_pinned() {
         "chrome export lost its drop-tail instants"
     );
     check("congestion_queue_slice.chrome.json", &chrome);
+    check("congestion_queue_slice.json", &slice.to_json());
+    check("congestion_queue_slice.jsonl", &trace_to_jsonl(&slice));
+
+    let report_json = report.to_json();
+    assert!(
+        report_json.contains("\"blame\":{\"class\":\"congestion-staleness\""),
+        "report JSON lost its blame summary"
+    );
+    check("congestion_report.json", &report_json);
+    let chain = explain(&trace, &congestion::blame_spec(), &report.violations);
+    check("congestion_blame_chain.json", &chain.to_json());
 
     let prom = report.metrics.to_prometheus();
     for family in [
@@ -90,4 +109,51 @@ fn congestion_queue_exports_are_pinned() {
         "text exposition must agree with the programmatic counter"
     );
     check("congestion_metrics.prom", &prom);
+}
+
+#[test]
+fn hunt_telemetry_exposition_is_pinned() {
+    // A detecting cell (the buggy variant under its tuned injector) and a
+    // clean one that runs its whole two-trial budget.
+    let explorer = Explorer {
+        max_trials: 2,
+        base_seed: 1,
+    };
+    let mut hunt = HuntReport::new();
+    for variant in [Variant::Buggy, Variant::Fixed] {
+        let mut outcome = explorer.explore(
+            congestion::NAME,
+            &|seed, s| congestion::run(seed, s, variant),
+            &congestion::guided,
+        );
+        outcome.strategy = format!("guided-{variant}");
+        hunt.push(StrategyStats::from_outcome(&outcome));
+    }
+    let prom = hunt.to_prometheus();
+    assert!(prom.contains("ph_hunt_trial_sim_ns_bucket{"));
+    assert!(prom.contains("le=\"+Inf\"}"));
+    check("congestion_hunt.prom", &prom);
+}
+
+#[test]
+fn static_exports_are_pinned() {
+    let mut modelcheck = String::new();
+    let mut independence = String::new();
+    for e in scenario_statics() {
+        let summaries = (e.summaries)(Variant::Buggy);
+        for r in ph_lint::modelcheck::model_check_all(&summaries) {
+            modelcheck.push_str(&r.to_json());
+            modelcheck.push('\n');
+        }
+        for m in ph_lint::independence::derive_all(&summaries) {
+            independence.push_str(&m.to_json());
+            independence.push('\n');
+        }
+    }
+    check("static_modelcheck_buggy.jsonl", &modelcheck);
+    check("static_independence_buggy.jsonl", &independence);
+    check(
+        "static_crosscheck.json",
+        &ph_scenarios::static_crosscheck().to_json(),
+    );
 }
