@@ -12,8 +12,8 @@
 //! expected class is among the flagged ones for the buggy variant — and
 //! the fixed variant flags nothing at all.
 
-use ph_lint::findings::esc;
 use ph_lint::summary::{Hazard, PatternClass};
+use ph_sim::emit::{JsonArray, JsonObject};
 
 /// One scenario's static (and optionally dynamic) verdicts.
 #[derive(Debug, Clone)]
@@ -149,59 +149,27 @@ impl CrossCheckTable {
 
     /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"rows\":[");
-        for (i, r) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let classes = r
-                .buggy_classes()
-                .iter()
-                .map(|c| format!("\"{}\"", c.as_str()))
-                .collect::<Vec<_>>()
-                .join(",");
-            let hazards = r
-                .buggy_hazards
-                .iter()
-                .map(|h| h.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            let fixed_hazards = r
-                .fixed_hazards
-                .iter()
-                .map(|h| h.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            let missing = r
-                .missing_static
-                .iter()
-                .map(|m| format!("\"{}\"", esc(m)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let witnesses = r
-                .buggy_witnesses
-                .iter()
-                .map(|w| format!("\"{}\"", esc(w)))
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"expected\":\"{}\",\"static_buggy_classes\":[{}],\
-                 \"buggy_hazards\":[{}],\"fixed_hazards\":[{}],\"missing_static\":[{}],\
-                 \"witnesses\":[{}],\"static_agrees\":{}}}",
-                esc(&r.scenario),
-                r.expected.as_str(),
-                classes,
-                hazards,
-                fixed_hazards,
-                missing,
-                witnesses,
-                r.static_agrees()
-            ));
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        let mut rows = JsonArray::new(o.key("rows"));
+        for r in &self.rows {
+            let mut row = JsonObject::new(rows.item());
+            row.str("scenario", &r.scenario)
+                .str("expected", r.expected.as_str())
+                .strs(
+                    "static_buggy_classes",
+                    r.buggy_classes().iter().map(|c| c.as_str()),
+                )
+                .raws("buggy_hazards", r.buggy_hazards.iter().map(Hazard::to_json))
+                .raws("fixed_hazards", r.fixed_hazards.iter().map(Hazard::to_json))
+                .strs("missing_static", &r.missing_static)
+                .strs("witnesses", &r.buggy_witnesses)
+                .raw("static_agrees", r.static_agrees());
+            row.close();
         }
-        out.push_str(&format!(
-            "],\"all_static_agree\":{}}}",
-            self.all_static_agree()
-        ));
+        rows.close();
+        o.raw("all_static_agree", self.all_static_agree());
+        o.close();
         out
     }
 }

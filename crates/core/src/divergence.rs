@@ -36,6 +36,8 @@
 
 use std::collections::BTreeMap;
 
+use ph_sim::emit::JsonObject;
+
 /// Sampled lag statistics for one view (an apiserver cache or a
 /// component's informer frontier).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -177,19 +179,17 @@ impl DivergenceSummary {
     /// Renders the summary as a deterministic JSON object keyed by
     /// component, in component order.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, v)) in self.sorted().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            // Component names come from actor names: plain identifiers, no
-            // characters needing JSON escapes.
-            out.push_str(&format!(
-                "\"{name}\":{{\"samples\":{},\"lagging\":{},\"sum\":{},\"max\":{}}}",
-                v.samples, v.lagging, v.sum, v.max
-            ));
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        for (name, v) in self.sorted() {
+            let mut view = JsonObject::new(o.key(name));
+            view.raw("samples", v.samples)
+                .raw("lagging", v.lagging)
+                .raw("sum", v.sum)
+                .raw("max", v.max);
+            view.close();
         }
-        out.push('}');
+        o.close();
         out
     }
 

@@ -9,6 +9,7 @@
 //! paper's §7 claims ("our tool has reproduced two known bugs … and
 //! detected three new bugs") plus the §5/§6.1 guided-vs-random comparison.
 
+use ph_sim::emit::JsonObject;
 use ph_sim::{MetricsReport, SimTime, Trace};
 
 use crate::divergence::DivergenceSummary;
@@ -60,58 +61,32 @@ impl RunReport {
     /// Renders the full report as deterministic JSON (key order fixed, no
     /// wall-clock anywhere) — the `phtool run --json` payload.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        o.str("scenario", &self.scenario)
+            .str("strategy", &self.strategy)
+            .raw("seed", self.seed)
+            .raw("sim_time_ns", self.sim_time.0)
+            .raw("trace_events", self.trace_events)
+            .str("trace_digest", &format!("{:#018x}", self.trace_digest));
+        o.raws("violations", self.violations.iter().map(Violation::to_json))
+            .raw("metrics", self.metrics.to_json())
+            .raw("divergence", self.divergence.to_json());
+        match &self.blame {
+            Some(b) => {
+                let mut bo = JsonObject::new(o.key("blame"));
+                bo.str("class", b.class.as_str())
+                    .raw("links", b.links)
+                    .raw("injected", b.injected)
+                    .raw("in_chain", b.in_chain);
+                bo.close();
             }
-            out
+            None => {
+                o.raw("blame", "null");
+            }
         }
-        let violations: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| {
-                format!(
-                    "{{\"oracle\":\"{}\",\"at_ns\":{},\"details\":\"{}\"}}",
-                    esc(&v.oracle),
-                    v.at.0,
-                    esc(&v.details)
-                )
-            })
-            .collect();
-        let blame = match &self.blame {
-            Some(b) => format!(
-                "{{\"class\":\"{}\",\"links\":{},\"injected\":{},\"in_chain\":{}}}",
-                b.class.as_str(),
-                b.links,
-                b.injected,
-                b.in_chain
-            ),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"scenario\":\"{}\",\"strategy\":\"{}\",\"seed\":{},\"sim_time_ns\":{},\
-             \"trace_events\":{},\"trace_digest\":\"{:#018x}\",\"violations\":[{}],\
-             \"metrics\":{},\"divergence\":{},\"blame\":{}}}",
-            esc(&self.scenario),
-            esc(&self.strategy),
-            self.seed,
-            self.sim_time.0,
-            self.trace_events,
-            self.trace_digest,
-            violations.join(","),
-            self.metrics.to_json(),
-            self.divergence.to_json(),
-            blame,
-        )
+        o.close();
+        out
     }
 }
 

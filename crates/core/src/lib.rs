@@ -105,4 +105,4 @@ pub use perturb::{
     StalenessInjector, Strategy, Targets, TimeTravelInjector,
 };
 pub use provenance::{explain, BlameChain, BlameLink, BlameSpec, BlameSummary};
-pub use telemetry::{print_prometheus, HuntReport, StrategyStats};
+pub use telemetry::{HuntReport, StrategyStats};

@@ -12,6 +12,7 @@
 //! conventional labels; oracles read those annotations plus any direct
 //! world state the scenario exposes.
 
+use ph_sim::emit::JsonObject;
 use ph_sim::{ActorId, SimTime, TraceEventKind, World};
 
 /// A detected safety violation, with the evidence to reproduce it.
@@ -23,6 +24,19 @@ pub struct Violation {
     pub at: SimTime,
     /// Human-readable account of what went wrong.
     pub details: String,
+}
+
+impl Violation {
+    /// Deterministic JSON object: `oracle`, `at_ns`, `details`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        o.str("oracle", &self.oracle)
+            .raw("at_ns", self.at.0)
+            .str("details", &self.details);
+        o.close();
+        out
+    }
 }
 
 impl std::fmt::Display for Violation {

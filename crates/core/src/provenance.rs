@@ -29,6 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ph_lint::summary::PatternClass;
+use ph_sim::emit::{JsonArray, JsonObject};
 use ph_sim::{ActorId, DropReason, SimTime, Trace, TraceEventKind};
 
 use crate::causality::CausalGraph;
@@ -140,60 +141,28 @@ impl BlameChain {
     /// Deterministic JSON rendering — byte-identical across same-seed runs
     /// and thread counts (only integers and escaped strings, no floats).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::with_capacity(256 + self.links.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"scenario\":{},\"class\":{},\"rationale\":{},\"sink\":",
-            esc(&self.scenario),
-            esc(self.class.as_str()),
-            esc(&self.rationale)
-        );
-        match self.sink {
-            Some(s) => {
-                let _ = write!(out, "{s}");
-            }
-            None => out.push_str("null"),
+        let mut o = JsonObject::new(&mut out);
+        o.str("scenario", &self.scenario)
+            .str("class", self.class.as_str())
+            .str("rationale", &self.rationale)
+            .opt_raw("sink", self.sink)
+            .raw("injected", self.injected)
+            .raw("in_chain", self.in_chain)
+            .opt_raw("effectiveness_pct", self.effectiveness_pct())
+            .raw("truncated", self.truncated);
+        let mut links = JsonArray::new(o.key("links"));
+        for l in &self.links {
+            let mut lo = JsonObject::new(links.item());
+            lo.raw("seq", l.seq)
+                .raw("at_ns", l.at.0)
+                .str("role", l.role)
+                .str("detail", &l.detail);
+            lo.close();
         }
-        let _ = write!(
-            out,
-            ",\"injected\":{},\"in_chain\":{},\"effectiveness_pct\":",
-            self.injected, self.in_chain
-        );
-        match self.effectiveness_pct() {
-            Some(p) => {
-                let _ = write!(out, "{p}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ",\"truncated\":{},\"links\":[", self.truncated);
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"at_ns\":{},\"role\":{},\"detail\":{}}}",
-                l.seq,
-                l.at.0,
-                esc(l.role),
-                esc(&l.detail)
-            );
-        }
-        out.push_str("],\"violation\":");
-        match &self.violation {
-            Some(v) => {
-                let _ = write!(
-                    out,
-                    "{{\"oracle\":{},\"at_ns\":{},\"details\":{}}}",
-                    esc(&v.oracle),
-                    v.at.0,
-                    esc(&v.details)
-                );
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        links.close();
+        o.opt_raw("violation", self.violation.as_ref().map(Violation::to_json));
+        o.close();
         out
     }
 
@@ -241,25 +210,6 @@ impl BlameChain {
         }
         out
     }
-}
-
-/// JSON string escape (local, to keep `ph-sim`'s internal helper private).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A suppressed view update (one message) and the trace events that tell

@@ -1,5 +1,7 @@
 //! Lint findings and their deterministic text/JSON renderings.
 
+use ph_sim::emit::JsonObject;
+
 /// One lint finding, suppressed or not.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -69,47 +71,37 @@ impl LintReport {
         out
     }
 
-    /// Deterministic JSON rendering (no external serializer).
+    /// Deterministic JSON rendering.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"findings\":[");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\"suppressed\":{}}}",
-                esc(&f.rule),
-                esc(&f.file),
-                f.line,
-                esc(&f.message),
-                match &f.suppressed {
-                    Some(r) => format!("\"{}\"", esc(r)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"unsuppressed\":{},\"files_scanned\":{}}}",
-            self.unsuppressed_count(),
-            self.files_scanned
-        ));
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        push_findings(&mut o, &self.findings);
+        o.raw("files_scanned", self.files_scanned);
+        o.close();
         out
     }
 }
 
-/// Escapes a string for embedding in JSON.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl Finding {
+    /// Deterministic JSON object: `rule`, `file`, `line`, `message`,
+    /// `suppressed` (the reason, or `null`).
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        o.str("rule", &self.rule)
+            .str("file", &self.file)
+            .raw("line", self.line)
+            .str("message", &self.message)
+            .opt_str("suppressed", self.suppressed.as_deref());
+        o.close();
+        out
     }
-    out
+}
+
+/// Writes the members every findings report shares into `o`: the
+/// `findings` array and the `unsuppressed` count.
+pub fn push_findings(o: &mut JsonObject, findings: &[Finding]) {
+    let unsuppressed = findings.iter().filter(|f| f.suppressed.is_none()).count();
+    o.raws("findings", findings.iter().map(Finding::to_json))
+        .raw("unsuppressed", unsuppressed);
 }

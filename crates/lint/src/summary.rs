@@ -32,7 +32,7 @@
 //! they are exempt from the staleness rules but are exactly what the
 //! missed-trigger rule inspects.
 
-use crate::findings::esc;
+use ph_sim::emit::JsonObject;
 
 /// The §4.2 bug-pattern taxonomy (plus the load-emergent refinement).
 ///
@@ -211,13 +211,14 @@ pub struct Hazard {
 impl Hazard {
     /// Deterministic JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"component\":\"{}\",\"action\":\"{}\",\"class\":\"{}\",\"detail\":\"{}\"}}",
-            esc(&self.component),
-            esc(&self.action),
-            self.class.as_str(),
-            esc(&self.detail)
-        )
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        o.str("component", &self.component)
+            .str("action", &self.action)
+            .str("class", self.class.as_str())
+            .str("detail", &self.detail);
+        o.close();
+        out
     }
 }
 
@@ -373,18 +374,6 @@ pub fn check_summary(s: &AccessSummary) -> Vec<Hazard> {
         }
     }
     hazards
-}
-
-/// Distinct hazard classes over a set of summaries, sorted.
-pub fn classes(summaries: &[AccessSummary]) -> Vec<PatternClass> {
-    let mut out: Vec<PatternClass> = summaries
-        .iter()
-        .flat_map(check_summary)
-        .map(|h| h.class)
-        .collect();
-    out.sort();
-    out.dedup();
-    out
 }
 
 #[cfg(test)]

@@ -73,6 +73,7 @@ use ph_core::provenance::{explain, BlameSpec};
 use ph_core::telemetry::HuntReport;
 use ph_lint::summary::PatternClass;
 use ph_scenarios::{k8s_56261, volume_17, Variant};
+use ph_sim::emit::{JsonArray, JsonObject};
 use ph_sim::{Duration, Trace};
 
 type RunFn = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
@@ -848,23 +849,19 @@ fn cmd_lint(args: &Args) -> Result<i32, String> {
             .collect();
 
     if args.has("json") {
-        let independence = matrices
-            .iter()
-            .map(|(scenario, m)| {
-                format!(
-                    "{{\"scenario\":\"{}\",\"matrix\":{}}}",
-                    ph_lint::findings::esc(scenario),
-                    m.to_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        println!(
-            "{{\"determinism\":{},\"hazards\":{},\"independence\":[{}]}}",
-            report.to_json(),
-            table.to_json(),
-            independence
-        );
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        o.raw("determinism", report.to_json())
+            .raw("hazards", table.to_json());
+        let mut independence = JsonArray::new(o.key("independence"));
+        for (scenario, m) in &matrices {
+            let mut mo = JsonObject::new(independence.item());
+            mo.str("scenario", scenario).raw("matrix", m.to_json());
+            mo.close();
+        }
+        independence.close();
+        o.close();
+        println!("{out}");
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }
 
@@ -908,7 +905,6 @@ fn cmd_lint(args: &Args) -> Result<i32, String> {
 /// conformance drift exists.
 fn cmd_check(args: &Args) -> Result<i32, String> {
     use ph_lint::conformance;
-    use ph_lint::findings::esc as jesc;
     use ph_lint::modelcheck::model_check_all;
 
     let root = workspace_root(args)?;
@@ -951,48 +947,24 @@ fn cmd_check(args: &Args) -> Result<i32, String> {
     let violated = !model_ok || unsuppressed_drift > 0;
 
     if json {
-        let mut out = String::from("{\"modelcheck\":[");
-        for (i, v) in verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buggy = v
-                .buggy
-                .iter()
-                .map(|r| r.to_json())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "{{\"scenario\":\"{}\",\"expected\":\"{}\",\"class_witnessed\":{},\
-                 \"fixed_epoch_safe\":{},\"buggy\":[{}]}}",
-                jesc(v.name),
-                v.expected.as_str(),
-                class_witnessed(v),
-                fixed_safe(v),
-                buggy
-            ));
+        let mut out = String::new();
+        let mut o = JsonObject::new(&mut out);
+        let mut modelcheck = JsonArray::new(o.key("modelcheck"));
+        for v in &verdicts {
+            let mut vo = JsonObject::new(modelcheck.item());
+            vo.str("scenario", v.name)
+                .str("expected", v.expected.as_str())
+                .raw("class_witnessed", class_witnessed(v))
+                .raw("fixed_epoch_safe", fixed_safe(v))
+                .raws("buggy", v.buggy.iter().map(|r| r.to_json()));
+            vo.close();
         }
-        out.push_str("],\"conformance\":{\"findings\":[");
-        for (i, f) in drift.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\",\
-                 \"suppressed\":{}}}",
-                jesc(&f.rule),
-                jesc(&f.file),
-                f.line,
-                jesc(&f.message),
-                match &f.suppressed {
-                    Some(r) => format!("\"{}\"", jesc(r)),
-                    None => "null".into(),
-                }
-            ));
-        }
-        out.push_str(&format!(
-            "],\"unsuppressed\":{unsuppressed_drift}}},\"violated\":{violated}}}"
-        ));
+        modelcheck.close();
+        let mut conformance = JsonObject::new(o.key("conformance"));
+        ph_lint::findings::push_findings(&mut conformance, &drift);
+        conformance.close();
+        o.raw("violated", violated);
+        o.close();
         println!("{out}");
         return Ok(if violated { EXIT_VIOLATION } else { 0 });
     }

@@ -1,7 +1,7 @@
 //! Trace exporters.
 //!
-//! Two serializations of a [`Trace`], both hand-rolled, deterministic and
-//! dependency-free:
+//! Two serializations of a [`Trace`], both deterministic, dependency-free
+//! and written through [`crate::emit`]:
 //!
 //! * [`trace_to_jsonl`] — one structured JSON object per line, for grep/jq
 //!   pipelines and archival;
@@ -17,84 +17,50 @@
 
 use std::collections::BTreeMap;
 
-use crate::ids::ActorId;
-use crate::trace::{json_string, Trace, TraceEventKind};
+use crate::emit::{JsonArray, JsonObject};
+use crate::ids::{ActorId, MsgId};
+use crate::trace::{Trace, TraceEventKind as K};
 
 /// Renders the trace as JSON Lines: one event object per line, with
-/// structured per-kind fields (`type`, `seq`, `at_ns`, then the event's own
+/// structured per-kind fields (`seq`, `at_ns`, `type`, then the event's own
 /// fields).
 pub fn trace_to_jsonl(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 96);
     for e in trace.iter() {
-        out.push_str(&format!("{{\"seq\":{},\"at_ns\":{},", e.seq, e.at.0));
+        let mut o = JsonObject::new(&mut out);
+        o.raw("seq", e.seq).raw("at_ns", e.at.0);
         match &e.kind {
-            TraceEventKind::Spawned { actor, name } => {
-                out.push_str(&format!(
-                    "\"type\":\"spawned\",\"actor\":{},\"name\":{}",
-                    actor.0,
-                    json_string(name)
-                ));
+            K::Spawned { actor, name } => {
+                o.str("type", "spawned")
+                    .raw("actor", actor.0)
+                    .str("name", name);
             }
-            TraceEventKind::MessageSent { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"sent\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
+            K::MessageSent { id, src, dst, kind } => msg(&mut o, "sent", id, src, dst, kind),
+            K::MessageDelivered { id, src, dst, kind } => {
+                msg(&mut o, "delivered", id, src, dst, kind)
             }
-            TraceEventKind::MessageDelivered { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"delivered\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
-            }
-            TraceEventKind::MessageDropped {
+            K::MessageDropped {
                 id,
                 src,
                 dst,
                 kind,
                 reason,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"dropped\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"reason\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    json_string(&format!("{reason:?}"))
-                ));
+                msg(&mut o, "dropped", id, src, dst, kind);
+                o.str("reason", &format!("{reason:?}"));
             }
-            TraceEventKind::MessageHeld { id, src, dst, kind } => {
-                out.push_str(&format!(
-                    "\"type\":\"held\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind)
-                ));
-            }
-            TraceEventKind::MessageDelayed {
+            K::MessageHeld { id, src, dst, kind } => msg(&mut o, "held", id, src, dst, kind),
+            K::MessageDelayed {
                 id,
                 src,
                 dst,
                 kind,
                 by,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"delayed\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"by_ns\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    by.0
-                ));
+                msg(&mut o, "delayed", id, src, dst, kind);
+                o.raw("by_ns", by.0);
             }
-            TraceEventKind::MessageQueued {
+            K::MessageQueued {
                 id,
                 src,
                 dst,
@@ -102,73 +68,71 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
                 depth,
                 waited,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"queued\",\"id\":{},\"src\":{},\"dst\":{},\"kind\":{},\"depth\":{},\"waited_ns\":{}",
-                    id.0,
-                    src.0,
-                    dst.0,
-                    json_string(kind),
-                    depth,
-                    waited.0
-                ));
+                msg(&mut o, "queued", id, src, dst, kind);
+                o.raw("depth", depth).raw("waited_ns", waited.0);
             }
-            TraceEventKind::MessageReleased { id } => {
-                out.push_str(&format!("\"type\":\"released\",\"id\":{}", id.0));
+            K::MessageReleased { id } => {
+                o.str("type", "released").raw("id", id.0);
             }
-            TraceEventKind::TimerSet {
+            K::TimerSet {
                 actor,
                 timer,
                 tag,
                 fire_at,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"timer_set\",\"actor\":{},\"timer\":{},\"tag\":{},\"fire_at_ns\":{}",
-                    actor.0, timer.0, tag, fire_at.0
-                ));
+                o.str("type", "timer_set")
+                    .raw("actor", actor.0)
+                    .raw("timer", timer.0)
+                    .raw("tag", tag)
+                    .raw("fire_at_ns", fire_at.0);
             }
-            TraceEventKind::TimerFired { actor, timer, tag } => {
-                out.push_str(&format!(
-                    "\"type\":\"timer_fired\",\"actor\":{},\"timer\":{},\"tag\":{}",
-                    actor.0, timer.0, tag
-                ));
+            K::TimerFired { actor, timer, tag } => {
+                o.str("type", "timer_fired")
+                    .raw("actor", actor.0)
+                    .raw("timer", timer.0)
+                    .raw("tag", tag);
             }
-            TraceEventKind::Crashed { actor } => {
-                out.push_str(&format!("\"type\":\"crashed\",\"actor\":{}", actor.0));
+            K::Crashed { actor } => {
+                o.str("type", "crashed").raw("actor", actor.0);
             }
-            TraceEventKind::Restarted { actor } => {
-                out.push_str(&format!("\"type\":\"restarted\",\"actor\":{}", actor.0));
+            K::Restarted { actor } => {
+                o.str("type", "restarted").raw("actor", actor.0);
             }
-            TraceEventKind::Annotation { actor, label, data } => {
-                out.push_str(&format!(
-                    "\"type\":\"annotation\",\"actor\":{},\"label\":{},\"data\":{}",
-                    actor.0,
-                    json_string(label),
-                    json_string(data)
-                ));
+            K::Annotation { actor, label, data } => {
+                o.str("type", "annotation")
+                    .raw("actor", actor.0)
+                    .str("label", label)
+                    .str("data", data);
             }
-            TraceEventKind::SpanBegin {
+            K::SpanBegin {
                 actor,
                 label,
                 detail,
             } => {
-                out.push_str(&format!(
-                    "\"type\":\"span_begin\",\"actor\":{},\"label\":{},\"detail\":{}",
-                    actor.0,
-                    json_string(label),
-                    json_string(detail)
-                ));
+                o.str("type", "span_begin")
+                    .raw("actor", actor.0)
+                    .str("label", label)
+                    .str("detail", detail);
             }
-            TraceEventKind::SpanEnd { actor, label } => {
-                out.push_str(&format!(
-                    "\"type\":\"span_end\",\"actor\":{},\"label\":{}",
-                    actor.0,
-                    json_string(label)
-                ));
+            K::SpanEnd { actor, label } => {
+                o.str("type", "span_end")
+                    .raw("actor", actor.0)
+                    .str("label", label);
             }
         }
-        out.push_str("}\n");
+        o.close();
+        out.push('\n');
     }
     out
+}
+
+/// The fields every message event's JSONL line shares.
+fn msg(o: &mut JsonObject, ty: &str, id: &MsgId, src: &ActorId, dst: &ActorId, kind: &str) {
+    o.str("type", ty)
+        .raw("id", id.0)
+        .raw("src", src.0)
+        .raw("dst", dst.0)
+        .str("kind", kind);
 }
 
 /// Formats logical nanoseconds as Chrome's microsecond `ts` with fixed
@@ -181,7 +145,7 @@ fn chrome_ts(ns: u64) -> String {
 fn actor_names(trace: &Trace) -> BTreeMap<ActorId, crate::intern::Name> {
     let mut names = BTreeMap::new();
     for e in trace.iter() {
-        if let TraceEventKind::Spawned { actor, name } = &e.kind {
+        if let K::Spawned { actor, name } = &e.kind {
             names.insert(*actor, name.clone());
         }
     }
@@ -203,137 +167,153 @@ pub fn trace_to_chrome(trace: &Trace) -> String {
     let delivered: std::collections::BTreeSet<u64> = trace
         .iter()
         .filter_map(|e| match &e.kind {
-            TraceEventKind::MessageDelivered { id, .. } => Some(id.0),
+            K::MessageDelivered { id, .. } => Some(id.0),
             _ => None,
         })
         .collect();
-    let mut events: Vec<String> = Vec::with_capacity(trace.len() + 8);
+    let mut out = String::with_capacity(trace.len() * 128 + 64);
+    let mut top = JsonObject::new(&mut out);
+    top.str("displayTimeUnit", "ms");
+    let mut events = JsonArray::new(top.key("traceEvents"));
     for (actor, name) in actor_names(trace) {
-        events.push(format!(
-            "{{\"ph\":\"M\",\"pid\":1,\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":{}}}}}",
-            actor.0,
-            json_string(&name)
-        ));
+        let mut m = JsonObject::new(events.item());
+        m.str("ph", "M")
+            .raw("pid", 1)
+            .raw("tid", actor.0)
+            .str("name", "thread_name");
+        let mut args = JsonObject::new(m.key("args"));
+        args.str("name", &name);
+        args.close();
+        m.close();
     }
     for e in trace.iter() {
         let ts = chrome_ts(e.at.0);
-        let ev = match &e.kind {
-            TraceEventKind::SpanBegin {
+        let ev = &mut events;
+        match &e.kind {
+            K::SpanBegin {
                 actor,
                 label,
                 detail,
-            } => format!(
-                "{{\"ph\":\"B\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":{},\"args\":{{\"detail\":{}}}}}",
-                actor.0,
-                json_string(label),
-                json_string(detail)
-            ),
-            TraceEventKind::SpanEnd { actor, label } => format!(
-                "{{\"ph\":\"E\",\"pid\":1,\"tid\":{},\"ts\":{ts},\"name\":{}}}",
-                actor.0,
-                json_string(label)
-            ),
-            TraceEventKind::MessageSent { id, src, dst, kind } => instant(
-                src.0,
-                &ts,
-                &format!("send {kind}"),
-                &format!("{{\"id\":{},\"dst\":{}}}", id.0, dst.0),
-            ),
-            TraceEventKind::MessageDelivered { id, src, dst, kind } => instant(
-                dst.0,
-                &ts,
-                &format!("recv {kind}"),
-                &format!("{{\"id\":{},\"src\":{}}}", id.0, src.0),
-            ),
-            TraceEventKind::MessageDropped {
+            } => {
+                let mut o = JsonObject::new(ev.item());
+                o.str("ph", "B")
+                    .raw("pid", 1)
+                    .raw("tid", actor.0)
+                    .raw("ts", &ts)
+                    .str("name", label);
+                let mut args = JsonObject::new(o.key("args"));
+                args.str("detail", detail);
+                args.close();
+                o.close();
+            }
+            K::SpanEnd { actor, label } => {
+                let mut o = JsonObject::new(ev.item());
+                o.str("ph", "E")
+                    .raw("pid", 1)
+                    .raw("tid", actor.0)
+                    .raw("ts", &ts)
+                    .str("name", label);
+                o.close();
+            }
+            K::MessageSent { id, src, dst, kind } => {
+                instant(ev, src.0, &ts, &format!("send {kind}"), |a| {
+                    a.raw("id", id.0).raw("dst", dst.0);
+                });
+                if delivered.contains(&id.0) {
+                    flow(ev, "s", src.0, &ts, id.0);
+                }
+            }
+            K::MessageDelivered { id, src, dst, kind } => {
+                instant(ev, dst.0, &ts, &format!("recv {kind}"), |a| {
+                    a.raw("id", id.0).raw("src", src.0);
+                });
+                flow(ev, "f", dst.0, &ts, id.0);
+            }
+            K::MessageDropped {
                 id,
                 src,
                 dst,
                 kind,
                 reason,
-            } => instant(
-                dst.0,
-                &ts,
-                &format!("drop {kind}"),
-                &format!(
-                    "{{\"id\":{},\"src\":{},\"reason\":{}}}",
-                    id.0,
-                    src.0,
-                    json_string(&format!("{reason:?}"))
-                ),
-            ),
-            TraceEventKind::MessageDelayed {
+            } => instant(ev, dst.0, &ts, &format!("drop {kind}"), |a| {
+                a.raw("id", id.0)
+                    .raw("src", src.0)
+                    .str("reason", &format!("{reason:?}"));
+            }),
+            K::MessageDelayed {
                 id,
                 src,
                 dst,
                 kind,
                 by,
-            } => instant(
-                dst.0,
-                &ts,
-                &format!("delay {kind}"),
-                &format!("{{\"id\":{},\"src\":{},\"by_ns\":{}}}", id.0, src.0, by.0),
-            ),
-            TraceEventKind::MessageQueued {
+            } => instant(ev, dst.0, &ts, &format!("delay {kind}"), |a| {
+                a.raw("id", id.0).raw("src", src.0).raw("by_ns", by.0);
+            }),
+            K::MessageQueued {
                 id,
                 src,
                 dst,
                 kind,
                 depth,
                 waited,
-            } => instant(
-                src.0,
-                &ts,
-                &format!("queue {kind}"),
-                &format!(
-                    "{{\"id\":{},\"dst\":{},\"depth\":{},\"waited_ns\":{}}}",
-                    id.0, dst.0, depth, waited.0
-                ),
-            ),
-            TraceEventKind::Crashed { actor } => instant(actor.0, &ts, "crash", "{}"),
-            TraceEventKind::Restarted { actor } => instant(actor.0, &ts, "restart", "{}"),
-            TraceEventKind::Annotation { actor, label, data } => instant(
-                actor.0,
-                &ts,
-                label,
-                &format!("{{\"data\":{}}}", json_string(data)),
-            ),
+            } => instant(ev, src.0, &ts, &format!("queue {kind}"), |a| {
+                a.raw("id", id.0)
+                    .raw("dst", dst.0)
+                    .raw("depth", depth)
+                    .raw("waited_ns", waited.0);
+            }),
+            K::Crashed { actor } => instant(ev, actor.0, &ts, "crash", |_| {}),
+            K::Restarted { actor } => instant(ev, actor.0, &ts, "restart", |_| {}),
+            K::Annotation { actor, label, data } => instant(ev, actor.0, &ts, label, |a| {
+                a.str("data", data);
+            }),
             // Spawn/timer/hold bookkeeping would drown the timeline; the
             // JSONL exporter carries the complete record.
-            _ => continue,
-        };
-        events.push(ev);
-        match &e.kind {
-            TraceEventKind::MessageSent { id, src, .. } if delivered.contains(&id.0) => {
-                events.push(flow("s", src.0, &ts, id.0));
-            }
-            TraceEventKind::MessageDelivered { id, dst, .. } => {
-                events.push(flow("f", dst.0, &ts, id.0));
-            }
             _ => {}
         }
     }
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        events.join(",")
-    )
+    events.close();
+    top.close();
+    out
 }
 
-fn instant(tid: u32, ts: &str, name: &str, args: &str) -> String {
-    format!(
-        "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":{},\"args\":{args}}}",
-        json_string(name)
-    )
+/// One instant event; `args` fills its `args` object.
+fn instant(
+    events: &mut JsonArray,
+    tid: u32,
+    ts: &str,
+    name: &str,
+    args: impl FnOnce(&mut JsonObject),
+) {
+    let mut o = JsonObject::new(events.item());
+    o.str("ph", "i")
+        .str("s", "t")
+        .raw("pid", 1)
+        .raw("tid", tid)
+        .raw("ts", ts)
+        .str("name", name);
+    let mut a = JsonObject::new(o.key("args"));
+    args(&mut a);
+    a.close();
+    o.close();
 }
 
 /// One half of a flow-event pair binding a send to its delivery. `bp:"e"`
 /// on the finishing half attaches the arrowhead to the enclosing event
 /// rather than the next slice, which is what instants need.
-fn flow(ph: &str, tid: u32, ts: &str, msg_id: u64) -> String {
-    let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
-    format!(
-        "{{\"ph\":\"{ph}\"{bp},\"cat\":\"msg\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"name\":\"msg\",\"id\":{msg_id}}}"
-    )
+fn flow(events: &mut JsonArray, ph: &str, tid: u32, ts: &str, msg_id: u64) {
+    let mut o = JsonObject::new(events.item());
+    o.str("ph", ph);
+    if ph == "f" {
+        o.str("bp", "e");
+    }
+    o.str("cat", "msg")
+        .raw("pid", 1)
+        .raw("tid", tid)
+        .raw("ts", ts)
+        .str("name", "msg")
+        .raw("id", msg_id);
+    o.close();
 }
 
 #[cfg(test)]

@@ -14,7 +14,9 @@
 //!   `ph-core` derives happens-before relations and oracles derive verdicts,
 //! * a deterministic [`metrics`] registry (counters, gauges, histograms,
 //!   spans) snapshotted into ordered [`MetricsReport`]s, and [`export`]ers
-//!   rendering traces as JSONL or Chrome `trace_event` JSON for Perfetto.
+//!   rendering traces as JSONL or Chrome `trace_event` JSON for Perfetto,
+//! * [`emit`], the one JSON and Prometheus text writer behind every export
+//!   in the workspace.
 //!
 //! Every simulation is a pure function of `(topology, workload, seed)`:
 //! re-running a [`World`] with the same inputs produces the *identical* trace,
@@ -56,6 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod actor;
+pub mod emit;
 pub mod event;
 pub mod export;
 pub mod ids;
