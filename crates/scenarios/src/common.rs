@@ -15,7 +15,7 @@ use ph_core::divergence::{DivergenceSummary, LagSampler, ViewSlot};
 use ph_core::harness::RunReport;
 use ph_core::oracle::{check_all, Oracle};
 use ph_core::perturb::{Strategy, Targets};
-use ph_sim::{ActorId, Duration, Name, SimTime, Sym, World, WorldConfig};
+use ph_sim::{ActorId, Duration, SimTime, Sym, World, WorldConfig};
 use ph_store::{Revision, StoreNode};
 
 /// Which implementation variant a trial runs.
@@ -59,13 +59,11 @@ pub struct Runner {
     /// Sampled per-view lag, folded into the report by
     /// [`Runner::finish_with_trace`].
     pub divergence: DivergenceSummary,
-    /// Reused buffer for the full (legacy) sampling path (capacity persists
-    /// across quanta so sampling stays allocation-free in steady state).
-    lag_scratch: Vec<(Name, u64)>,
+    /// Every view the sampler walks, in its dense order (apiservers,
+    /// kubelets, then the optional singletons), fixed at construction.
+    views: Vec<(ActorId, Frontier)>,
     /// Per-view `(metrics component sym, divergence slot)` pairs, resolved
-    /// lazily the first time a view is sampled. Indexed by the dense view
-    /// walk order (apiservers, kubelets, then the optional singletons),
-    /// which is fixed for the lifetime of a run.
+    /// lazily the first time a view is sampled. Indexed like `views`.
     view_meta: Vec<Option<(Sym, ViewSlot)>>,
     /// Dirty-set tracker: remembers each view's last sampled lag so the
     /// `view_lag.last` gauge is only rewritten when the value moved.
@@ -73,10 +71,41 @@ pub struct Runner {
     /// Interned metric-name syms for the two per-view lag series.
     hist_sym: Sym,
     gauge_sym: Sym,
-    /// `PH_DIVERGENCE_FULL=1` routes sampling through the legacy
-    /// string-keyed full diff (used by the regression test that pins the
-    /// incremental path to it).
-    full_sampling: bool,
+}
+
+/// Reads one view's revision frontier; `None` while its actor is down.
+type Frontier = fn(&World, ActorId) -> Option<Revision>;
+
+/// Every view of `c` with its frontier reader, in the sampler's dense
+/// order: apiserver caches, kubelets, then the configured singletons.
+fn cluster_views(c: &ClusterHandle) -> Vec<(ActorId, Frontier)> {
+    let api: Frontier = |w, id| w.actor_ref::<ApiServer>(id).map(|s| s.cache_revision());
+    let kubelet: Frontier = |w, id| w.actor_ref::<Kubelet>(id).map(|s| s.view_revision());
+    let singletons: [(Option<ActorId>, Frontier); 5] = [
+        (c.scheduler, |w, id| {
+            w.actor_ref::<Scheduler>(id).map(|s| s.view_revision())
+        }),
+        (c.volume_controller, |w, id| {
+            w.actor_ref::<VolumeController>(id)
+                .map(|s| s.view_revision())
+        }),
+        (c.rs_controller, |w, id| {
+            w.actor_ref::<ReplicaSetController>(id)
+                .map(|s| s.view_revision())
+        }),
+        (c.operator, |w, id| {
+            w.actor_ref::<CassandraOperator>(id)
+                .map(|s| s.view_revision())
+        }),
+        (c.node_lifecycle, |w, id| {
+            w.actor_ref::<NodeLifecycleController>(id)
+                .map(|s| s.view_revision())
+        }),
+    ];
+    let mut views: Vec<(ActorId, Frontier)> = c.apiservers.iter().map(|&id| (id, api)).collect();
+    views.extend(c.kubelets.iter().map(|&id| (id, kubelet)));
+    views.extend(singletons.into_iter().filter_map(|(id, f)| Some((id?, f))));
+    views
 }
 
 impl Runner {
@@ -108,7 +137,7 @@ impl Runner {
         let metrics = world.metrics_mut();
         let hist_sym = metrics.sym("view_lag.revisions");
         let gauge_sym = metrics.sym("view_lag.last");
-        let full_sampling = std::env::var_os("PH_DIVERGENCE_FULL").is_some_and(|v| v != "0");
+        let views = cluster_views(&cluster);
         Runner {
             world,
             cluster,
@@ -116,12 +145,11 @@ impl Runner {
             name: name.to_string(),
             seed,
             divergence: DivergenceSummary::new(),
-            lag_scratch: Vec::new(),
+            views,
             view_meta: Vec::new(),
             sampler: LagSampler::default(),
             hist_sym,
             gauge_sym,
-            full_sampling,
         }
     }
 
@@ -160,14 +188,12 @@ impl Runner {
     /// so they surface in trace/metric exports too. Skipped while the store
     /// has no leader (the truth frontier is unknowable then).
     ///
-    /// The default path is incremental: per view it folds the lag into a
+    /// Sampling is incremental: per view it folds the lag into a
     /// pre-resolved [`ViewSlot`] and sym pair (O(1), no string hashing),
     /// observes the histogram, and rewrites the gauge only when the lag
     /// actually moved since the last quantum (gauges are last-value, so
     /// skipping unchanged writes is report-invisible). Cost per quantum is
-    /// therefore O(views) with a constant far below the legacy string-keyed
-    /// full diff, which `PH_DIVERGENCE_FULL=1` still selects for the
-    /// equivalence regression test.
+    /// therefore O(views).
     pub fn sample_divergence(&mut self) {
         let Some(truth) = self
             .cluster
@@ -178,87 +204,14 @@ impl Runner {
         else {
             return;
         };
-        if self.full_sampling {
-            self.sample_divergence_full(truth);
-            return;
-        }
-        // The dense view index must be stable across quanta, so it advances
-        // for every *configured* view — crashed actors (actor_ref None)
-        // skip the record but still consume their index.
-        let mut idx = 0usize;
-        for i in 0..self.cluster.apiservers.len() {
-            let a = self.cluster.apiservers[i];
-            let rv = self
-                .world
-                .actor_ref::<ApiServer>(a)
-                .map(|s| s.cache_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, a, rv, truth);
-            }
-            idx += 1;
-        }
-        for i in 0..self.cluster.kubelets.len() {
-            let k = self.cluster.kubelets[i];
-            let rv = self
-                .world
-                .actor_ref::<Kubelet>(k)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, k, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.scheduler {
-            let rv = self
-                .world
-                .actor_ref::<Scheduler>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
+        // Crashed actors (no frontier) skip the record but keep their
+        // dense index, so indices stay stable across quanta.
+        for idx in 0..self.views.len() {
+            let (id, frontier) = self.views[idx];
+            if let Some(rv) = frontier(&self.world, id) {
                 self.record_view(idx, id, rv, truth);
             }
-            idx += 1;
         }
-        if let Some(id) = self.cluster.volume_controller {
-            let rv = self
-                .world
-                .actor_ref::<VolumeController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.rs_controller {
-            let rv = self
-                .world
-                .actor_ref::<ReplicaSetController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.operator {
-            let rv = self
-                .world
-                .actor_ref::<CassandraOperator>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        if let Some(id) = self.cluster.node_lifecycle {
-            let rv = self
-                .world
-                .actor_ref::<NodeLifecycleController>(id)
-                .map(|s| s.view_revision());
-            if let Some(rv) = rv {
-                self.record_view(idx, id, rv, truth);
-            }
-            idx += 1;
-        }
-        let _ = idx;
     }
 
     /// Folds one view's lag sample into the divergence summary and metrics.
@@ -290,65 +243,6 @@ impl Runner {
         if dirty {
             metrics.gauge_set_sym(comp, self.gauge_sym, lag as i64);
         }
-    }
-
-    /// The legacy full-diff sampling path: walks every view, collects
-    /// `(Name, lag)` pairs, and records them through the string-keyed
-    /// APIs. Kept (behind `PH_DIVERGENCE_FULL=1`) as the oracle the
-    /// incremental path is regression-tested against — both must produce
-    /// identical divergence summaries and metric reports.
-    fn sample_divergence_full(&mut self, truth: Revision) {
-        let mut lags = std::mem::take(&mut self.lag_scratch);
-        lags.clear();
-        // Names are interned `Rc<str>` handles, so collecting them is a
-        // refcount bump per view — no string copies on this path.
-        let push = |lags: &mut Vec<(Name, u64)>, name: Name, frontier: Revision| {
-            lags.push((name, truth.0.saturating_sub(frontier.0)));
-        };
-        for &a in &self.cluster.apiservers {
-            if let Some(s) = self.world.actor_ref::<ApiServer>(a) {
-                push(&mut lags, self.world.name_handle(a), s.cache_revision());
-            }
-        }
-        for &k in &self.cluster.kubelets {
-            if let Some(s) = self.world.actor_ref::<Kubelet>(k) {
-                push(&mut lags, self.world.name_handle(k), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.scheduler {
-            if let Some(s) = self.world.actor_ref::<Scheduler>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.volume_controller {
-            if let Some(s) = self.world.actor_ref::<VolumeController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.rs_controller {
-            if let Some(s) = self.world.actor_ref::<ReplicaSetController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.operator {
-            if let Some(s) = self.world.actor_ref::<CassandraOperator>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        if let Some(id) = self.cluster.node_lifecycle {
-            if let Some(s) = self.world.actor_ref::<NodeLifecycleController>(id) {
-                push(&mut lags, self.world.name_handle(id), s.view_revision());
-            }
-        }
-        for (name, lag) in &lags {
-            let (name, lag) = (name.as_str(), *lag);
-            self.divergence.record(name, lag);
-            let metrics = self.world.metrics_mut();
-            metrics.observe(name, "view_lag.revisions", lag);
-            metrics.gauge_set(name, "view_lag.last", lag as i64);
-        }
-        lags.clear();
-        self.lag_scratch = lags;
     }
 
     /// Finishes the run: tears the strategy down, lets the system settle
