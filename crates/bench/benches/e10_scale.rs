@@ -14,8 +14,8 @@
 //!   struct-of-arrays amortize per-object overhead).
 //!
 //! Output: a table on stdout and `BENCH_PR9.json` (path override:
-//! `PH_BENCH_OUT`). Modes: default = best of `PH_E10_SAMPLES` (3) over
-//! all three points; `PH_E10_CHECK=1` = CI smoke, one sample of the
+//! `PH_BENCH_OUT`). Modes: default = best of `PH_BENCH_SAMPLES` (3) over
+//! all three points; `PH_BENCH_CHECK=1` = CI smoke, one sample of the
 //! 100-node point only, same artifact.
 //!
 //! Run with `cargo bench -p ph-bench --bench e10_scale`.
@@ -72,7 +72,7 @@ fn measure(points: &[usize], samples: usize) -> Vec<Row> {
 }
 
 fn write_json(rows: &[Row], check_mode: bool) {
-    let path = std::env::var("PH_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR9.json".to_string());
+    let path = ph_bench::knob("PH_BENCH_OUT", "BENCH_PR9.json".to_string());
     let mut out = String::from("{\n  \"bench\": \"e10_scale\",\n");
     let _ = writeln!(out, "  \"check_mode\": {check_mode},");
     let _ = writeln!(out, "  \"shards\": {SHARDS},");
@@ -118,11 +118,8 @@ fn print_table(rows: &[Row]) {
 }
 
 fn bench(c: &mut Criterion) {
-    let check_mode = std::env::var("PH_E10_CHECK").is_ok_and(|v| v == "1");
-    let samples: usize = std::env::var("PH_E10_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if check_mode { 1 } else { 3 });
+    let check_mode = ph_bench::knob("PH_BENCH_CHECK", 0) == 1;
+    let samples: usize = ph_bench::knob("PH_BENCH_SAMPLES", if check_mode { 1 } else { 3 });
     let points: &[usize] = if check_mode { &POINTS[..1] } else { POINTS };
 
     println!(

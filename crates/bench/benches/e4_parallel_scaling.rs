@@ -10,7 +10,7 @@
 //! the machine's core count (a 1-core container shows ~1× by
 //! construction; see EXPERIMENTS.md E4 for recorded curves).
 //!
-//! Trial budget: `PH_TRIALS4` env var (default 16).
+//! Trial budget: `PH_BENCH_TRIALS` env var (default 16).
 //!
 //! Run with `cargo bench -p ph-bench --bench e4_parallel_scaling`.
 
@@ -23,10 +23,7 @@ use ph_core::perturb::{NoFault, Strategy};
 use ph_scenarios::{cass_398, Variant};
 
 fn print_scaling_curve() {
-    let budget: u32 = std::env::var("PH_TRIALS4")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
+    let budget: u32 = ph_bench::knob("PH_BENCH_TRIALS", 16);
     let explorer = Explorer {
         max_trials: budget,
         base_seed: 0x5CA1E,

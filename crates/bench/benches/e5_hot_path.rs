@@ -12,8 +12,8 @@
 //!   and current numbers side by side.
 //!
 //! Modes:
-//! * default — full measurement (best of `PH_E5_SAMPLES`, default 3);
-//! * `PH_E5_CHECK=1` — CI smoke: one sample per scenario, no speedup
+//! * default — full measurement (best of `PH_BENCH_SAMPLES`, default 3);
+//! * `PH_BENCH_CHECK=1` — CI smoke: one sample per scenario, no speedup
 //!   assertion, still writes the JSON artifact.
 //!
 //! The `BASELINE` table was measured on this machine at the pre-PR commit
@@ -112,7 +112,7 @@ fn measure(samples: usize) -> Vec<Row> {
 }
 
 fn write_json(rows: &[Row], check_mode: bool) {
-    let path = std::env::var("PH_BENCH_OUT").unwrap_or_else(|_| "BENCH_PR4.json".to_string());
+    let path = ph_bench::knob("PH_BENCH_OUT", "BENCH_PR4.json".to_string());
     let mut out = String::from("{\n  \"bench\": \"e5_hot_path\",\n");
     let _ = writeln!(out, "  \"check_mode\": {check_mode},");
     let _ = writeln!(out, "  \"trials_per_sweep\": {TRIALS},");
@@ -159,11 +159,8 @@ fn print_table(rows: &[Row]) {
 }
 
 fn bench(c: &mut Criterion) {
-    let check_mode = std::env::var("PH_E5_CHECK").is_ok_and(|v| v == "1");
-    let samples: usize = std::env::var("PH_E5_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if check_mode { 1 } else { 3 });
+    let check_mode = ph_bench::knob("PH_BENCH_CHECK", 0) == 1;
+    let samples: usize = ph_bench::knob("PH_BENCH_SAMPLES", if check_mode { 1 } else { 3 });
 
     println!(
         "\n=== E5: hot-path throughput ({} scenario(s), {} sample(s), \

@@ -12,7 +12,7 @@
 //!   [`ph_core::plan_class`]), plus wall-clock per hunt. Detection must
 //!   not change; only the trial budget spent may shrink.
 //!
-//! Writes `BENCH_PR8.json` (path override: `PH_BENCH_E9_OUT`) next to
+//! Writes `BENCH_PR8.json` (path override: `PH_BENCH_OUT`) next to
 //! `BENCH_PR4.json`.
 //!
 //! Run with `cargo bench -p ph-bench --bench e9_reduction`.
@@ -144,7 +144,7 @@ fn sweep_hunts() -> Vec<HuntRow> {
 }
 
 fn write_json(checks: &[CheckRow], hunts: &[HuntRow]) {
-    let path = std::env::var("PH_BENCH_E9_OUT").unwrap_or_else(|_| "BENCH_PR8.json".to_string());
+    let path = ph_bench::knob("PH_BENCH_OUT", "BENCH_PR8.json".to_string());
     let mut out = String::from("{\n  \"bench\": \"e9_reduction\",\n  \"model_check\": [\n");
     for (i, r) in checks.iter().enumerate() {
         let _ = writeln!(

@@ -10,7 +10,7 @@
 //! heuristics work *because* they force (H′, S′) to diverge); uniform
 //! random injection rarely lands.
 //!
-//! Trial budget: `PH_TRIALS` env var (default 5).
+//! Trial budget: `PH_BENCH_TRIALS` env var (default 5).
 //!
 //! Run with `cargo bench -p ph-bench --bench table1_detection`.
 
@@ -82,10 +82,7 @@ fn build_matrix(max_trials: u32) -> DetectionMatrix {
 }
 
 fn print_table() -> DetectionMatrix {
-    let trials: u32 = std::env::var("PH_TRIALS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let trials: u32 = ph_bench::knob("PH_BENCH_TRIALS", 5);
     println!("\n=== T1 (§7 results): detection matrix, budget {trials} trials/cell ===\n");
     let matrix = build_matrix(trials);
     println!("{}", matrix.render());

@@ -6,7 +6,7 @@
 //! advances triggers them directly. Expected shape: guided = 1 trial
 //! everywhere; baselines need many trials or exhaust the budget.
 //!
-//! Trial budget: `PH_TRIALS2` env var (default 12).
+//! Trial budget: `PH_BENCH_TRIALS` env var (default 12).
 //!
 //! Run with `cargo bench -p ph-bench --bench table2_guided_vs_random`.
 
@@ -21,10 +21,7 @@ type ScenarioRun = fn(u64, &mut dyn Strategy, Variant) -> RunReport;
 type Guided = fn(u64) -> Box<dyn Strategy>;
 
 fn print_table() {
-    let budget: u32 = std::env::var("PH_TRIALS2")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
+    let budget: u32 = ph_bench::knob("PH_BENCH_TRIALS", 12);
     let scenarios: Vec<(&str, ScenarioRun, Guided)> = vec![
         (
             k8s_59848::NAME,

@@ -14,6 +14,21 @@
 
 use std::time::{Duration, Instant};
 
+/// Reads one of the benches' four environment knobs, parsed, or `default`
+/// when it is unset or does not parse:
+///
+/// * `PH_BENCH_CHECK=1` — smoke mode: one sample, smallest inputs, no
+///   performance assertion (e5, e10);
+/// * `PH_BENCH_SAMPLES` — timed samples per measurement (e5, e10);
+/// * `PH_BENCH_TRIALS` — trial budget per cell (table1, table2, e4);
+/// * `PH_BENCH_OUT` — path of the JSON artifact (e5, e9, e10).
+pub fn knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    std::env::var(name)
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 /// Top-level harness handle, passed as `&mut Criterion` into each bench
 /// function by [`criterion_group!`].
 #[derive(Default)]
