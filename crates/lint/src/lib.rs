@@ -39,8 +39,9 @@
 //! pass is cross-checked against the dynamic explorer over all eight
 //! scenarios, and its witnesses seed the explorer's guided search.
 //!
-//! This crate has **no dependencies** (std only) and sits below every
-//! other workspace crate so they can export summaries in its IR.
+//! This crate depends only on `ph-sim`, for the workspace's one JSON
+//! writer (`ph_sim::emit`), and sits below every other workspace crate
+//! so they can export summaries in its IR.
 
 #![forbid(unsafe_code)]
 
